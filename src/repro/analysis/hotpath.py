@@ -265,12 +265,12 @@ class HotPathAnalyzer:
     by their element types (indexing/iterating a ``list[FRRouter]`` yields
     an ``FRRouter``), and dynamic dispatch is closed over by re-walking
     statically known subclasses that override a hot method.  Dispatch-slot
-    attributes (``self.X = self._Y_plain``/``self._Y_observed`` rebound at
-    hook attach/detach) are followed to *every* method they can be bound
-    to.  Calls the
-    analyzer cannot resolve are reported (``hook_escape``/``opaque_call``)
-    rather than silently dropped, and the ``--verify`` tracemalloc mode
-    checks the closure against observed allocations.
+    attributes (``self._schedule_data_flits = self._schedule_per_flit`` or
+    ``self._schedule_all_or_nothing``, chosen per policy) are followed to
+    *every* method they can be bound to.  Calls the analyzer cannot
+    resolve are reported (``hook_escape``/``opaque_call``) rather than
+    silently dropped, and the ``--verify`` tracemalloc mode checks the
+    closure against observed allocations.
     """
 
     def __init__(self, info: ClassInfo, label: str | None = None) -> None:
@@ -458,8 +458,9 @@ class HotPathAnalyzer:
     def _method_refs_in(self, value: ast.expr, info: ClassInfo) -> frozenset[str]:
         """Dispatch targets of an assigned value that is a method reference.
 
-        Captures dispatch-slot rebinding like
-        ``self.accept = self._accept_observed if hook else self._accept_plain``.
+        Captures dispatch-slot binding like
+        ``self._schedule_data_flits = self._schedule_per_flit`` (one branch
+        per policy, so every reachable target is collected).
         The value must *be* a method reference -- a bare ``self.Y`` or a
         conditional expression over them -- not merely contain one (a method
         passed as a constructor argument is a callback, not a rebinding).

@@ -76,10 +76,10 @@ Two refinements keep the proof exact for the active-set kernel:
   rather than flagged.  Any subscript store with a non-index key on shared
   state is still a hazard.
 * **Method-alias dispatch.**  An attribute assigned a bound method of the
-  same class (``self.accept_flit = self._accept_flit_plain``, swapped by
-  hook setters) is a dispatch slot; a call through it is walked into
-  *every* method ever assigned to that slot anywhere in the class, so the
-  analysis covers the union of plain and observed variants instead of
+  same class (``self._schedule_data_flits = self._schedule_per_flit``,
+  chosen per scheduling policy) is a dispatch slot; a call through it is
+  walked into *every* method ever assigned to that slot anywhere in the
+  class, so the analysis covers the union of the targets instead of
   silently skipping the call.
 """
 
@@ -382,8 +382,8 @@ class ActorModel:
         self.attrs: dict[str, AttrClass] = {}
         self.param_classes: dict[str, AttrClass] = {}
         # Dispatch slots: attribute name -> every method of this class ever
-        # assigned to it (``self.X = self._X_plain`` and the hook-setter
-        # swaps).  A call through the slot is analysed as the union.
+        # assigned to it (``self._schedule_data_flits = ...`` in each policy
+        # branch).  A call through the slot is analysed as the union.
         self.method_aliases: dict[str, list[str]] = {}
         init = info.method("__init__")
         if init is not None:

@@ -50,10 +50,8 @@ class VCRouter:
         "out_vc_owned",
         "connected_outputs",
         "ni_credit",
-        "accept_flit",
-        "_forward",
-        "_on_flit_arrival",
-        "_on_flit_forward",
+        "on_flit_arrival",
+        "on_flit_forward",
         "_buffered_total",
         "_flags",
         "_wake",
@@ -98,13 +96,9 @@ class VCRouter:
         self.ni_credit: Optional[Callable[[int], None]] = None
         # Observability hooks (pure observers; arbitration never consults
         # them).  Arrival: (flit, port, vc, cycle); forward: (flit, in port,
-        # in vc, out port, cycle), ejections included.  The public names are
-        # properties whose setters swap the accept_flit/_forward dispatch
-        # slots between plain and observed variants (zero-cost detach).
-        self._on_flit_arrival: Optional[Callable[[VCFlit, int, int, int], None]] = None
-        self._on_flit_forward: Optional[Callable[[VCFlit, int, int, int, int], None]] = None
-        self.accept_flit = self._accept_flit_plain
-        self._forward = self._forward_plain
+        # in vc, out port, cycle), ejections included.
+        self.on_flit_arrival: Optional[Callable[[VCFlit, int, int, int], None]] = None
+        self.on_flit_forward: Optional[Callable[[VCFlit, int, int, int, int], None]] = None
         # Activity tracking: total buffered flits across all inputs, plus the
         # wake slot the network rebinds to its worklist (bind_activity).
         self._buffered_total = 0
@@ -117,28 +111,6 @@ class VCRouter:
         """Point this router's wake slot at the network's worklist array."""
         self._flags = flags
         self._wake = index
-
-    @property
-    def on_flit_arrival(self) -> Optional[Callable[[VCFlit, int, int, int], None]]:
-        return self._on_flit_arrival
-
-    @on_flit_arrival.setter
-    def on_flit_arrival(self, hook: Optional[Callable[[VCFlit, int, int, int], None]]) -> None:
-        self._on_flit_arrival = hook
-        self.accept_flit = (
-            self._accept_flit_plain if hook is None else self._accept_flit_observed
-        )
-
-    @property
-    def on_flit_forward(self) -> Optional[Callable[[VCFlit, int, int, int, int], None]]:
-        return self._on_flit_forward
-
-    @on_flit_forward.setter
-    def on_flit_forward(
-        self, hook: Optional[Callable[[VCFlit, int, int, int, int], None]]
-    ) -> None:
-        self._on_flit_forward = hook
-        self._forward = self._forward_plain if hook is None else self._forward_observed
 
     # -- wiring (done once by the network) -----------------------------------
 
@@ -219,11 +191,14 @@ class VCRouter:
                 candidates.append((port, vc, out_port))
         return candidates
 
-    def _forward_plain(self, port: int, vc: int, out_port: int, cycle: int) -> None:
+    def _forward(self, port: int, vc: int, out_port: int, cycle: int) -> None:
         flit = self.in_queues[port][vc].popleft()
         self.pool_occupancy[port] -= 1
         self._buffered_total -= 1
         self.flits_forwarded += 1
+        # The hook fires after the dequeue but before the flit moves.
+        if self.on_flit_forward is not None:
+            self.on_flit_forward(flit, port, vc, out_port, cycle)
         if out_port == EJECT:
             self.eject(flit, cycle)
         else:
@@ -245,33 +220,6 @@ class VCRouter:
             self.in_route[port][vc] = -1
             self.in_out_vc[port][vc] = -1
 
-    def _forward_observed(self, port: int, vc: int, out_port: int, cycle: int) -> None:
-        # Lockstep twin of _forward_plain; the hook fires after the dequeue
-        # but before the flit moves, exactly where it always did.
-        flit = self.in_queues[port][vc].popleft()
-        self.pool_occupancy[port] -= 1
-        self._buffered_total -= 1
-        self.flits_forwarded += 1
-        self._on_flit_forward(flit, port, vc, out_port, cycle)
-        if out_port == EJECT:
-            self.eject(flit, cycle)
-        else:
-            out_vc = self.in_out_vc[port][vc]
-            self.out_data_links[out_port].send((out_vc, flit), cycle)
-            if self.config.buffers_per_vc - self.out_credits[out_port][out_vc] >= 1:
-                self.out_shared_credits[out_port] -= 1
-            self.out_credits[out_port][out_vc] -= 1
-            if flit.is_tail:
-                self.out_vc_owned[out_port][out_vc] = False
-        if port == INJECT:
-            self.ni_credit(vc)
-        else:
-            self.out_credit_links[port].send(vc, cycle)
-        if flit.is_tail:
-            self.in_active[port][vc] = False
-            self.in_route[port][vc] = -1
-            self.in_out_vc[port][vc] = -1
-
     def deliver_flits(self, cycle: int) -> None:
         """Move arriving flits from input links into their VC queues."""
         for port in range(4):  # mesh ports only; local input is fed by the NI
@@ -281,7 +229,7 @@ class VCRouter:
             for out_vc, flit in link.receive(cycle):
                 self.accept_flit(port, out_vc, flit, cycle)
 
-    def _accept_flit_plain(self, port: int, vc: int, flit: VCFlit, cycle: int = -1) -> None:
+    def accept_flit(self, port: int, vc: int, flit: VCFlit, cycle: int = -1) -> None:
         """Insert one flit into an input VC queue, checking buffer bounds.
 
         ``cycle`` only feeds the observability hook (``-1`` marks callers
@@ -303,10 +251,8 @@ class VCRouter:
         self.pool_occupancy[port] += 1
         self._buffered_total += 1
         self._flags[self._wake] = 1
-
-    def _accept_flit_observed(self, port: int, vc: int, flit: VCFlit, cycle: int = -1) -> None:
-        self._accept_flit_plain(port, vc, flit, cycle)
-        self._on_flit_arrival(flit, port, vc, cycle)
+        if self.on_flit_arrival is not None:
+            self.on_flit_arrival(flit, port, vc, cycle)
 
     def route_and_allocate(self, cycle: int) -> bool:
         """Route new head flits and allocate output virtual channels.

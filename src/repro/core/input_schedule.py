@@ -55,9 +55,7 @@ class InputScheduler:
         "port_uses",
         "next_departure",
         "bookkeeper",
-        "on_arrival",
-        "take_departures",
-        "_on_buffer_event",
+        "on_buffer_event",
         "flits_bypassed",
         "flits_buffered",
         "early_arrivals",
@@ -78,31 +76,12 @@ class InputScheduler:
         self.next_departure = _NEVER
         self.bookkeeper = IntervalBookkeeper(pool_size) if track_transfers else None
         # Observability hook: ("alloc"|"free", cycle, occupied-after).  Pure
-        # observer -- the scheduler never consults it.  The public name is a
-        # property; setting it swaps the on_arrival/take_departures dispatch
-        # slots between plain and observed variants, so a detached scheduler
-        # pays no per-event hook branches.
-        self._on_buffer_event: Optional[Callable[[str, int, int], None]] = None
-        self.on_arrival = self._on_arrival_plain
-        self.take_departures = self._take_departures_plain
+        # observer -- the scheduler never consults it.
+        self.on_buffer_event: Optional[Callable[[str, int, int], None]] = None
         # Diagnostics.
         self.flits_bypassed = 0
         self.flits_buffered = 0
         self.early_arrivals = 0
-
-    @property
-    def on_buffer_event(self) -> Optional[Callable[[str, int, int], None]]:
-        return self._on_buffer_event
-
-    @on_buffer_event.setter
-    def on_buffer_event(self, hook: Optional[Callable[[str, int, int], None]]) -> None:
-        self._on_buffer_event = hook
-        if hook is None:
-            self.on_arrival = self._on_arrival_plain
-            self.take_departures = self._take_departures_plain
-        else:
-            self.on_arrival = self._on_arrival_observed
-            self.take_departures = self._take_departures_observed
 
     def on_reservation(self, now: int, arrival: int, departure: int, out_port: int) -> None:
         """Record the output scheduler's feedback for one data flit.
@@ -146,7 +125,7 @@ class InputScheduler:
         """Departures already scheduled from this input at ``cycle``."""
         return self.port_uses.get(cycle, 0)
 
-    def _take_departures_plain(self, now: int) -> Sequence[tuple[DataFlit, int]]:
+    def take_departures(self, now: int) -> Sequence[tuple[DataFlit, int]]:
         """Pop this cycle's scheduled (flit, output port) departures.
 
         Buffers are freed here, *before* arrivals are processed, so a buffer
@@ -162,19 +141,15 @@ class InputScheduler:
         if not entries:
             return _NO_DEPARTURES
         release = self.pool.release
-        return [(release(buffer_index), out_port) for buffer_index, out_port in entries]
-
-    def _take_departures_observed(self, now: int) -> Sequence[tuple[DataFlit, int]]:
-        # Lockstep twin of _take_departures_plain plus the buffer events.
-        released = self._take_departures_plain(now)
-        if released:
-            hook = self._on_buffer_event
+        released = [(release(buffer_index), out_port) for buffer_index, out_port in entries]
+        hook = self.on_buffer_event
+        if hook is not None:
             occupied = self.pool.occupied
             for _ in released:
                 hook("free", now, occupied)
         return released
 
-    def _on_arrival_plain(self, now: int, flit: DataFlit) -> int | None:
+    def on_arrival(self, now: int, flit: DataFlit) -> int | None:
         """Handle a data flit arriving this cycle.
 
         Returns the output port when the flit *bypasses* -- departs this
@@ -188,6 +163,8 @@ class InputScheduler:
             self.schedule_list[now] = buffer_index
             self.early_arrivals += 1
             self.flits_buffered += 1
+            if self.on_buffer_event is not None:
+                self.on_buffer_event("alloc", now, self.pool.occupied)
             return None
         departure, out_port = reservation
         if departure == now:
@@ -199,16 +176,9 @@ class InputScheduler:
             self.departures[departure] = bucket = []
         bucket.append((buffer_index, out_port))
         self.flits_buffered += 1
+        if self.on_buffer_event is not None:
+            self.on_buffer_event("alloc", now, self.pool.occupied)
         return None
-
-    def _on_arrival_observed(self, now: int, flit: DataFlit) -> int | None:
-        # Lockstep twin of _on_arrival_plain; the alloc event fires exactly
-        # when a buffer was taken (every path except the bypass).
-        occupied_before = self.pool.occupied
-        result = self._on_arrival_plain(now, flit)
-        if self.pool.occupied != occupied_before:
-            self._on_buffer_event("alloc", now, self.pool.occupied)
-        return result
 
     @property
     def occupancy(self) -> int:

@@ -221,23 +221,12 @@ class MetricsRegistry:
 
 
 def _buffer_occupancy(network: "NetworkModel", cycle: int) -> float:
-    total = 0
-    for router in getattr(network, "routers", []):
-        schedulers = getattr(router, "input_sched", None)
-        if schedulers is not None:  # flit-reservation input pools
-            total += sum(scheduler.occupancy for scheduler in schedulers)
-        else:  # VC/wormhole per-port pools
-            total += sum(router.pool_occupancy)
-    return float(total)
+    return float(sum(router.buffered_total() for router in getattr(network, "routers", [])))
 
 
 def _reservation_occupancy(network: "NetworkModel", cycle: int) -> float:
-    total = 0
-    for router in getattr(network, "routers", []):
-        for table in router.out_tables:
-            if table is not None:
-                total += table.busy_slots()
-    return float(total)
+    routers = getattr(network, "routers", [])
+    return float(sum(router.reservation_busy_total() for router in routers))
 
 
 def _credit_stalls(network: "NetworkModel", cycle: int) -> float:
